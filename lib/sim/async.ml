@@ -254,9 +254,15 @@ type ('state, 'msg) handler = 'msg ctx -> 'state -> sender:int -> 'msg -> 'state
 
 exception Too_many_events of int
 
-let run ?(delay = Unit) ?(max_events = 1_000_000) ?(weight = fun _ -> 1) ?faults ?corrupt
-    ?blip ?reliable ?drift ?(trace = Trace.null) ?(metrics = Metrics.null)
-    ?(spans = Span.null) g ~init ~starts ~handler =
+(* DFS, the heaviest O(n + m) protocol here, pops about 20 events per
+   node and edge; the ARQ layer roughly triples that with acks and
+   timers.  The cap only has to catch runaway protocols. *)
+let default_max_events g = max 1_000_000 (128 * (Graph.n g + Graph.m g))
+
+let run ?(delay = Unit) ?max_events ?(weight = fun _ -> 1) ?faults ?corrupt ?blip
+    ?reliable ?drift ?(trace = Trace.null) ?(metrics = Metrics.null) ?(spans = Span.null) g
+    ~init ~starts ~handler =
+  let max_events = match max_events with Some m -> m | None -> default_max_events g in
   let metrics = Metrics.with_label metrics "engine" "async" in
   let mtr = Metrics.enabled metrics in
   (match delay with

@@ -61,7 +61,10 @@ val run :
   'state array * Stats.t
 (** [starts] lists [(node, action)] spontaneous wake-ups executed at
     time 0 (e.g. the DFS root injecting the token).  [max_events]
-    defaults to [1_000_000]; exceeding it raises {!Too_many_events}.
+    defaults to [max 1_000_000 (128 * (n + m))], room for any O(n + m)
+    protocol here (DFS pops about 20 events per node and edge, about
+    three times that under the ARQ layer); exceeding it raises
+    {!Too_many_events}.
     [weight] gives a message's payload size for the [volume] statistic
     (default 1, clamped to at least 1).
     Returns final states and stats ([rounds] = ceiling of the last
@@ -106,8 +109,8 @@ val run :
     a traced run is event-for-event identical to an untraced one.
 
     [metrics] (default {!Metrics.null}) records under an [engine=async]
-    label (unless the caller already set [engine], as {!Lockstep}
-    does): the returned stats via {!Metrics.add_stats} (so
+    label (unless the caller already set [engine], as the test suite's
+    lockstep synchronizer does): the returned stats via {!Metrics.add_stats} (so
     [Metrics.to_stats] reproduces the returned record exactly), a
     {!Metrics.Name.queue_depth} histogram observation per popped event,
     and a {!Metrics.Name.round_messages} series point (cumulative sends

@@ -1,5 +1,5 @@
 (* Process-wide monotone clamp over the wall clock.  The high-water mark
-   lives in an [Atomic] so concurrent domains (the [Parallel] engine's
+   lives in an [Atomic] so concurrent domains (the sharded [Sync] engine's
    shards) share one monotone timeline; the CAS loop retries only when
    another domain advanced the mark between the read and the swap. *)
 

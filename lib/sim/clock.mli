@@ -5,7 +5,7 @@
     [Metrics.timed] observations negative.  {!now} is the same clock
     clamped monotone non-decreasing process-wide (an [Atomic] holds the
     high-water mark, so the clamp is shared by every domain), which is
-    what {!Metrics.timed}, {!Span} recorders and the {!Parallel} engine
+    what {!Metrics.timed}, {!Span} recorders and the sharded {!Sync} engine
     use whenever two readings are subtracted.
 
     Keep {!wall} for human-facing labels only (flight-dump headers,

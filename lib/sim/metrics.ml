@@ -452,7 +452,7 @@ let merge_into ~dst src =
     src.tbl
 
 (* A fresh private registry wearing the same labels and scale as the
-   given sink: the [Parallel] engine hands one to each shard (the shared
+   given sink: a sharded [Sync.run] hands one to each shard (the shared
    registry is not thread-safe) and folds them back with [merge_into] at
    the terminal barrier. *)
 let fork = function

@@ -1,7 +1,7 @@
 (** Metrics registry: labeled counters, gauges, log-bucketed histograms
     and timeline series, with a cheap [sink] handle threaded as
-    [?metrics] through the engines ({!Sync}, {!Async}, {!Reliable},
-    {!Lockstep}) and the protocols built on them.
+    [?metrics] through the engines ({!Sync}, {!Async}, {!Reliable}) and
+    the protocols built on them.
 
     The model mirrors {!Trace}: recording goes through a sink that is
     either {!null} (every call a no-op, the default everywhere) or bound
@@ -145,7 +145,7 @@ val merge_into : dst:t -> t -> unit
 val fork : sink -> (t * sink) option
 (** [fork m] is a fresh private registry plus a sink on it carrying
     [m]'s labels and scale, or [None] for the null sink.  The registry
-    behind a sink is not thread-safe, so the {!Parallel} engine forks
+    behind a sink is not thread-safe, so a sharded {!Sync.run} forks
     one sink per shard and folds the private registries back into [m]'s
     registry with {!merge_into} at the terminal barrier (exact counter
     counts; histogram [sum]s may differ from a sequential run in float
@@ -310,7 +310,7 @@ module Name : sig
   (** Gauge: 1 while the controller is in degraded mode, else 0. *)
 
   val parallel_shards : string
-  (** Gauge: number of shards (domains) the parallel engine ran with. *)
+  (** Gauge: number of shards (domains) a sharded {!Sync.run} ran with. *)
 
   val parallel_barrier_frac : string
   (** Gauge: fraction of the parallel section's aggregate capacity

@@ -1,84 +1,9 @@
-(** Domain-parallel synchronous engine — {!Sync} sharded across OCaml 5
-    domains, bit-identical to the sequential engine.
+(** The sharded synchronous engine as a {!Reliable.sync_runner}.
 
-    The graph is partitioned into [domains] shards ({!Fdlsp_graph.Partition});
-    each shard's nodes are stepped by a dedicated domain, and cross-shard
-    messages are exchanged in deterministically ordered batches at round
-    barriers.  Identity with {!Sync.run} is exact — same final states,
-    same {!Stats.t}, same trace event stream — via two regimes:
-
-    - {b fast path} (no fault session, no trace): a round's inboxes are
-      fixed at the round barrier and every inbox is sorted before
-      delivery, so the message {e multiset} determines each step.
-      Shards step their own nodes concurrently, route same-shard
-      messages directly and cross-shard messages through per-(source,
-      destination)-shard buckets drained by the owner after the next
-      barrier.  Message and volume counters are summed per shard —
-      integer sums, so stats are exact.
-    - {b sequential replay} (fault plan or tracing active): {!Fault}
-      verdicts draw from one PRNG in transmission order and crashed
-      nodes drop their {e raw-order} inboxes, so ordering is
-      observable.  Shards still step concurrently (the expensive part),
-      but buffer their outgoing batches; at the barrier the coordinator
-      replays delivery — fault verdicts, trace emission, inbox
-      construction, loss accounting — in exactly {!Sync.run}'s node
-      order, yielding a byte-identical execution.
-
-    Each shard gets a private {!Metrics} registry (via {!Metrics.fork})
-    merged into the caller's at the terminal barrier with the exact-
-    count merge, and a private {!Span} recorder; the caller's span sink
-    sees ["parallel.round"] with ["parallel.compute"] /
-    ["parallel.exchange"] children, so [fdlsp profile] shows the
-    barrier/compute split directly. *)
+    The round loop itself is {!Sync.run}; this module only decides, per
+    run, how many shards to use and which channel to run over. *)
 
 open Fdlsp_graph
-
-val run :
-  ?max_rounds:int ->
-  ?weight:('msg -> int) ->
-  ?faults:Fault.plan ->
-  ?corrupt:('msg -> 'msg) ->
-  ?blip:(Fault.blip -> 'state -> 'state) ->
-  ?trace:Trace.sink ->
-  ?metrics:Metrics.sink ->
-  ?spans:Span.sink ->
-  ?partition:Partition.t ->
-  ?points:Geometry.point array ->
-  domains:int ->
-  Graph.t ->
-  init:(int -> 'state * bool) ->
-  step:('state, 'msg) Sync.step ->
-  'state array * Stats.t
-(** Drop-in replacement for {!Sync.run} (same defaults, same
-    [Sync.Did_not_terminate], same non-neighbor send rejection), plus:
-
-    [domains] is the target shard count, clamped to [1 .. n].  With
-    [domains = 1] no worker domains are spawned; the engine still runs
-    its barrier loop on the calling domain.
-
-    [partition] overrides the node partition (its [parts] then decides
-    the domain count); it must satisfy {!Partition.check}.  Otherwise
-    the engine partitions with {!Partition.of_graph} — geometric strips
-    when [points] match the graph, BFS regions otherwise.
-
-    The protocol callbacks must tolerate concurrency across {e
-    different} nodes: [step ~round v] may run concurrently with [step
-    ~round w] for [w] in another shard (never for two nodes of the same
-    shard, and [init] is always called sequentially).  Protocols whose
-    steps share mutable state (a common scratch, a shared RNG) are
-    engine-order-dependent anyway and must be fixed first — see
-    [Mis.Hashed] vs [Mis.Luby].
-
-    [metrics] additionally records gauges {!Metrics.Name.parallel_shards},
-    {!Metrics.Name.parallel_barrier_frac} and
-    {!Metrics.Name.parallel_cut_frac} under the [engine=parallel]
-    label.  Histogram counts merge exactly; histogram float [sum]s can
-    differ from a sequential run in rounding only (addition order).
-
-    If a shard's work raises, the exception is re-raised on the calling
-    domain after the barrier (the lowest-numbered failing shard wins
-    deterministically); worker domains are always joined, even on
-    exceptions. *)
 
 val runner :
   ?faults:Fault.plan ->
@@ -90,17 +15,18 @@ val runner :
   domains:int ->
   unit ->
   Reliable.sync_runner
-(** A {!Reliable.sync_runner} that routes engine runs through {!run} —
-    the parallel analogue of {!Reliable.runner}, accepted anywhere an
-    [?engine] is (e.g. [Dist_mis.run]).
+(** A {!Reliable.sync_runner} that runs {!Sync.run} over [domains]
+    shards — the sharded analogue of {!Reliable.runner}, accepted
+    anywhere an [?engine] is (e.g. [Dist_mis.run]).  [points] feed the
+    geometric partition.
 
-    Graphs smaller than [threshold] nodes (default 2048) run on the
-    sequential engine instead: spawning domains costs more than
-    stepping a small graph, and the two engines are bit-identical, so
-    the switch is unobservable in results.  Pass [~threshold:0] to
-    force the parallel machinery always (the determinism property does).
+    Graphs smaller than [threshold] nodes (default 2048) run on one
+    shard instead: spawning domains costs more than stepping a small
+    graph, and results are bit-identical for every shard count, so the
+    switch is unobservable in results.  Pass [~threshold:0] to shard
+    always (the determinism property does).
 
     Lossy fault plans delegate to {!Reliable.runner}'s ARQ synchronizer
     unchanged (sequential; [faulty = true]): retransmission timers are
-    inherently transmission-order-coupled.  Fault-free and
-    lossless (blips-only) plans run parallel with [faulty = false]. *)
+    inherently transmission-order-coupled.  Fault-free and lossless
+    (blips-only) plans run sharded with [faulty = false]. *)

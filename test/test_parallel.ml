@@ -1,8 +1,9 @@
-(* The domain-parallel engine's whole contract is bit-identity with the
-   sequential engine: same final states, same stats, same trace event
-   stream, for every shard count, graph family, and fault plan.  These
-   properties are the oracle the fast path (multiset routing) and the
-   slow path (coordinator replay) are both held to. *)
+(* The synchronous engine's sharding contract is bit-identity across
+   shard counts: same final states, same stats, same trace event stream,
+   for every k, graph family, and fault plan.  These properties hold the
+   routed rounds (shard-local delivery) and the replayed rounds
+   (coordinator delivery) to the one-shard run, and golden digests pin
+   the one-shard run itself. *)
 
 open Fdlsp_graph
 open Fdlsp_color
@@ -100,8 +101,8 @@ let crash_plan g =
 
 let lossy_plan = Fault.uniform ~seed:5 ~duplicate:0.2 ~reorder:0.2 ~corrupt:0.1 0.25
 
-(* scenarios: fast path (clean, untraced), slow path via tracing alone,
-   slow path via a crash+blip session with traces, slow path via a lossy
+(* scenarios: routed rounds (clean, untraced), replayed rounds via
+   tracing alone, via a crash+blip session with traces, and via a lossy
    session without traces *)
 let scenarios g =
   [ (None, false); (None, true); (Some (crash_plan g), true); (Some lossy_plan, false) ]
@@ -110,28 +111,93 @@ let run_engine ?domains ?faults ~traced g =
   let trace = if traced then Trace.memory () else Trace.null in
   let init, step = gossip g in
   let states, stats =
-    match domains with
-    | None -> Sync.run ?faults ~corrupt:corrupt_hook ~blip:blip_hook ~trace g ~init ~step
-    | Some k ->
-        Parallel.run ?faults ~corrupt:corrupt_hook ~blip:blip_hook ~trace ~domains:k g
-          ~init ~step
+    Sync.run ?faults ~corrupt:corrupt_hook ~blip:blip_hook ~trace ?domains g ~init ~step
   in
   (states, stats, Trace.events trace)
 
 let prop_identical name arb =
-  qtest ("Parallel(k) is bit-identical to Sync on " ^ name) ~count:10 arb (fun g ->
+  qtest ("Sync(k) is bit-identical to Sync(1) on " ^ name) ~count:10 arb (fun g ->
       List.for_all
         (fun (faults, traced) ->
           let reference = run_engine ?faults ~traced g in
           List.for_all
             (fun k -> run_engine ~domains:k ?faults ~traced g = reference)
-            [ 1; 2; 4; 7 ])
+            [ 2; 4; 7 ])
         (scenarios g))
 
 let prop_gnp = prop_identical "gnp" (Generators.arb_gnp ~min_n:2 ~max_n:20 ())
 let prop_udg = prop_identical "udg" (Generators.arb_udg ())
 let prop_tree = prop_identical "trees" (Generators.arb_tree ~min_n:2 ~max_n:30 ())
 let prop_connected = prop_identical "connected" (Generators.arb_connected ~max_n:20 ())
+
+(* --- golden reference ------------------------------------------------ *)
+
+(* One fixed graph per generator family, drawn from the family's own
+   generator with a fixed seed. *)
+let golden_graphs =
+  List.map
+    (fun (name, arb) ->
+      (name, QCheck2.Gen.generate1 ~rand:(Random.State.make [| 5 |]) arb))
+    [
+      ("gnp", Generators.arb_gnp ~min_n:12 ~max_n:8 ());
+      ("udg", Generators.arb_udg ());
+      ("trees", Generators.arb_tree ~min_n:20 ~max_n:10 ());
+      ("connected", Generators.arb_connected ~max_n:20 ());
+    ]
+
+let digest run =
+  Digest.to_hex (Digest.string (Marshal.to_string run [ Marshal.No_sharing ]))
+
+(* Digests of (final states, stats, trace events) per scenario, recorded
+   from the separate sequential and sharded loops that preceded the
+   merged one; both produced exactly these for every k. *)
+let golden =
+  [
+    ( "gnp",
+      [
+        "692115f37e474fefd9daf79d5c198b5b";
+        "e62e77a0e907b19693b2616223e8ccb9";
+        "803b49cc90ef20f1629de01d211298b3";
+        "2115019c5600a0b1b03db81cd4750c3f";
+      ] );
+    ( "udg",
+      [
+        "3b8374bd6c8ab2be4727dab0d5490d14";
+        "9b14af721c455c689f09582ac6a1a975";
+        "fac438823778103199dd1a07540a1786";
+        "dc3d4ccf5314ab16707a0dfc7c2e0a71";
+      ] );
+    ( "trees",
+      [
+        "9208e0625436e3e72aa4e32abac3f093";
+        "74caa432375c930006caa755bbf884ad";
+        "e3ab55e62a1982906148f9bc72640b3d";
+        "f8cee54c85ba1bc80c84dc4a64af264d";
+      ] );
+    ( "connected",
+      [
+        "060f1051aeb0f667a730ae131508bd6c";
+        "6611419c8807c29bce0338a31e1a950e";
+        "4b101624f87c910b454fe82831dfc015";
+        "631aeb0bde1c249b6ce3abd3d5052a61";
+      ] );
+  ]
+
+let test_golden () =
+  List.iter
+    (fun (name, g) ->
+      List.iter2
+        (fun (faults, traced) expected ->
+          List.iter
+            (fun k ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s, traced=%b, faults=%b, k=%d" name traced
+                   (faults <> None) k)
+                expected
+                (digest (run_engine ~domains:k ?faults ~traced g)))
+            [ 1; 2; 4; 7 ])
+        (scenarios g) (List.assoc name golden))
+    golden_graphs
 
 let test_explicit_partition () =
   (* an explicit (deliberately lopsided) partition must not change results *)
@@ -140,43 +206,75 @@ let test_explicit_partition () =
   let p = Partition.blocks ~n:12 ~parts:5 in
   let init, step = gossip g in
   let trace = Trace.memory () in
-  let states, stats =
-    Parallel.run ~partition:p ~blip:blip_hook ~trace ~domains:5 g ~init ~step
-  in
+  let states, stats = Sync.run ~partition:p ~blip:blip_hook ~trace g ~init ~step in
   Alcotest.(check bool) "same run" true ((states, stats, Trace.events trace) = reference)
 
 let test_rejects_bad_args () =
   let g = ring 4 in
   let init, step = gossip g in
-  Alcotest.check_raises "domains = 0" (Invalid_argument "Parallel.run: domains must be >= 1")
-    (fun () -> ignore (Parallel.run ~domains:0 g ~init ~step));
+  Alcotest.check_raises "domains = 0" (Invalid_argument "Sync.run: domains must be >= 1")
+    (fun () -> ignore (Sync.run ~domains:0 g ~init ~step));
   let foreign = Partition.blocks ~n:7 ~parts:2 in
   Alcotest.check_raises "foreign partition"
     (Invalid_argument "Partition.check: 7 entries for a 4-node graph") (fun () ->
-      ignore (Parallel.run ~partition:foreign ~domains:2 g ~init ~step))
+      ignore (Sync.run ~partition:foreign g ~init ~step))
 
 let test_non_neighbor_send () =
   let g = ring 6 in
   let init v = (v, true) in
   let step ~round:_ v state _ = (state, Sync.Continue [ ((v + 2) mod 6, 0) ]) in
   Alcotest.check_raises "non-neighbor send"
-    (Invalid_argument "Parallel.run: node 0 sent to non-neighbor 2") (fun () ->
-      ignore (Parallel.run ~domains:2 g ~init ~step))
+    (Invalid_argument "Sync.run: node 0 sent to non-neighbor 2") (fun () ->
+      ignore (Sync.run ~domains:2 g ~init ~step))
+
+(* --- per-sender FIFO delivery ---------------------------------------- *)
+
+(* Round 1: every node sends each neighbor two messages, the larger
+   payload first, with its messages to the other neighbors in between.
+   Round 2: every node keeps its inbox and halts.  Each sender's pair
+   must arrive in send order, senders ascending. *)
+let fifo_protocol g =
+  let init _ = ([], true) in
+  let step ~round v inbox_seen inbox =
+    if round = 1 then
+      let sends payload =
+        Graph.fold_neighbors g v (fun acc w -> (w, payload) :: acc) [] |> List.rev
+      in
+      (inbox_seen, Sync.Continue (sends ((2 * v) + 1) @ sends (2 * v)))
+    else (inbox, Sync.Halt [])
+  in
+  (init, step)
+
+let fifo_expected g v =
+  List.concat_map
+    (fun w -> [ (w, (2 * w) + 1); (w, 2 * w) ])
+    (List.sort compare (Graph.fold_neighbors g v (fun acc w -> w :: acc) []))
+
+let prop_fifo =
+  qtest "each sender's messages arrive in send order on every engine" ~count:20
+    (Generators.arb_connected ~max_n:20 ())
+    (fun g ->
+      let init, step = fifo_protocol g in
+      let engines =
+        List.map (fun k -> Sync.run ~domains:k g ~init ~step) [ 1; 2; 4 ]
+        @ [ Reliable.run_sync g ~init ~step; Lockstep.run_async g ~init ~step ]
+      in
+      List.for_all
+        (fun (states, _) ->
+          Array.for_all Fun.id
+            (Array.mapi (fun v inbox -> inbox = fifo_expected g v) states))
+        engines)
 
 (* --- observability at the terminal barrier --------------------------- *)
 
 let test_metrics_merge () =
   let g = ring 16 in
   let init, step = gossip g in
-  let run metrics domains =
-    match domains with
-    | None -> Sync.run ~metrics g ~init ~step
-    | Some k -> Parallel.run ~metrics ~domains:k g ~init ~step
-  in
+  let run metrics domains = Sync.run ~metrics ~domains g ~init ~step in
   let reg_seq = Metrics.create () in
-  let r0 = run (Metrics.sink reg_seq) None in
+  let r0 = run (Metrics.sink reg_seq) 1 in
   let reg_par = Metrics.create () in
-  let r1 = run (Metrics.sink reg_par) (Some 4) in
+  let r1 = run (Metrics.sink reg_par) 4 in
   Alcotest.(check bool) "same states and stats" true (r0 = r1);
   let hist reg engine =
     match Metrics.histogram ~labels:[ ("engine", engine) ] reg Metrics.Name.inbox_depth with
@@ -197,26 +295,31 @@ let test_metrics_merge () =
   | Some f -> Alcotest.(check bool) "cut frac in [0,1]" true (f >= 0. && f <= 1.)
   | None -> Alcotest.fail "missing cut-frac gauge"
 
-let test_spans () =
+let span_names ~domains =
   let g = ring 16 in
   let init, step = gossip g in
   let spans = Span.recorder () in
-  ignore (Parallel.run ~spans ~domains:3 g ~init ~step);
+  ignore (Sync.run ~spans ~domains g ~init ~step);
   let entries = Span.entries spans in
   (match Span.check_nesting ~require_closed:true entries with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
-  let has name =
-    Array.exists
-      (function
-        | Span.Begin { name = n; _ } | Span.Mark { name = n; _ } -> n = name
-        | Span.End_ _ -> false)
-      entries
-  in
-  List.iter
-    (fun name -> Alcotest.(check bool) name true (has name))
-    [ "parallel.run"; "parallel.round"; "parallel.compute"; "parallel.exchange";
+  List.sort_uniq compare
+    (List.filter_map
+       (function
+         | Span.Begin { name; _ } | Span.Mark { name; _ } -> Some name
+         | Span.End_ _ -> None)
+       (Array.to_list entries))
+
+let test_spans () =
+  Alcotest.(check (list string))
+    "sharded spans"
+    [ "parallel.compute"; "parallel.exchange"; "parallel.round"; "parallel.run";
       "parallel.shard-summary" ]
+    (span_names ~domains:3);
+  Alcotest.(check (list string))
+    "one shard keeps the sequential spans" [ "sync.round"; "sync.run" ]
+    (span_names ~domains:1)
 
 (* --- the engine under DistMIS ---------------------------------------- *)
 
@@ -260,10 +363,12 @@ let () =
           prop_udg;
           prop_tree;
           prop_connected;
+          Alcotest.test_case "golden digests" `Quick test_golden;
           Alcotest.test_case "explicit partition" `Quick test_explicit_partition;
           Alcotest.test_case "bad args" `Quick test_rejects_bad_args;
           Alcotest.test_case "non-neighbor send" `Quick test_non_neighbor_send;
         ] );
+      ("fifo", [ prop_fifo ]);
       ( "observability",
         [
           Alcotest.test_case "metrics merge" `Quick test_metrics_merge;

@@ -157,6 +157,22 @@ let test_async_event_cap () =
   Alcotest.check_raises "cap" (Async.Too_many_events 100) (fun () ->
       ignore (Async.run ~max_events:100 g ~init:(fun _ -> ()) ~starts ~handler))
 
+(* The default event cap grows with the graph: a token making five laps
+   of a 250 000-node ring is O(n + m) work but pops 1.25 million events,
+   past the old fixed cap of one million. *)
+let test_async_event_cap_scales () =
+  let n = 250_000 and laps = 5 in
+  let g = Gen.cycle n in
+  let hop v = if v = n - 1 then 0 else v + 1 in
+  let starts = [ (0, fun ctx s -> Async.send ctx 1 ((laps * n) - 1); s) ] in
+  let handler ctx s ~sender:_ left =
+    if left > 0 then Async.send ctx (hop (Async.self ctx)) (left - 1);
+    s + 1
+  in
+  let states, stats = Async.run g ~init:(fun _ -> 0) ~starts ~handler in
+  Alcotest.(check int) "every hop delivered" (laps * n) stats.Stats.messages;
+  Alcotest.(check int) "each node saw the token once per lap" laps states.(n / 2)
+
 let test_async_echo_broadcast () =
   (* star center queries all leaves; leaves reply; center counts *)
   let g = Gen.star 9 in
@@ -280,6 +296,8 @@ let () =
           Alcotest.test_case "uniform delay bounds rejected" `Quick
             test_async_bad_uniform_delay;
           Alcotest.test_case "event cap" `Quick test_async_event_cap;
+          Alcotest.test_case "event cap scales with the graph" `Quick
+            test_async_event_cap_scales;
           Alcotest.test_case "echo broadcast" `Quick test_async_echo_broadcast;
           Alcotest.test_case "concurrent chains" `Quick test_async_concurrent_chains;
         ] );
