@@ -78,9 +78,9 @@ let verbose_arg =
 let domains_arg =
   let doc =
     "Shard the synchronous engine over $(docv) OCaml domains (distmis variants; 1 = \
-     sequential).  Results are bit-identical to the sequential engine; randomized MIS \
-     priorities switch from the shared-RNG Luby draw to hashed per-(node, phase) draws \
-     so they stay independent of step order."
+     sequential).  Results are bit-identical for every domain count: DistMIS's random \
+     MIS priorities are hashed per-(seed, node, phase) draws, never a function of \
+     engine step order."
   in
   Arg.(value & opt (checked_int ~min:1 "--domains") 1 & info [ "domains" ] ~docv:"N" ~doc)
 
@@ -222,11 +222,6 @@ let algo_conv =
 
 let run_algo ?(metrics = Metrics.null) ?(spans = Span.null) ?(domains = 1) algo seed g =
   let rng () = Random.State.make [| seed; 0xA5 |] in
-  (* multi-domain runs swap Luby's shared-RNG priorities for hashed
-     per-(node, phase) draws: same algorithm family, but every draw is
-     independent of engine step order, so the parallel engine reproduces
-     the sequential run bit for bit *)
-  let mis_random () = if domains > 1 then Mis.Hashed seed else Mis.Luby (rng ()) in
   let engine =
     if domains <= 1 then None
     else Some (Fdlsp_sim.Parallel.runner ~spans ~domains ())
@@ -236,13 +231,13 @@ let run_algo ?(metrics = Metrics.null) ?(spans = Span.null) ?(domains = 1) algo 
       match algo with
       | Dist_gbg ->
           let r =
-            Dist_mis.run ?engine ~metrics ~spans ~mis:(mis_random ())
+            Dist_mis.run ?engine ~metrics ~spans ~mis:(Mis.Hashed seed)
               ~variant:Dist_mis.Gbg g
           in
           (r.Dist_mis.schedule, Some r.Dist_mis.stats)
       | Dist_general ->
           let r =
-            Dist_mis.run ?engine ~metrics ~spans ~mis:(mis_random ())
+            Dist_mis.run ?engine ~metrics ~spans ~mis:(Mis.Hashed seed)
               ~variant:Dist_mis.General g
           in
           (r.Dist_mis.schedule, Some r.Dist_mis.stats)
@@ -391,8 +386,6 @@ let faults_cmd =
       with Invalid_argument m -> or_die (Error m)
     in
     let config = { Reliable.default with Reliable.timeout } in
-    let rng () = Random.State.make [| seed; 0xA5 |] in
-    let mis_random () = if domains > 1 then Mis.Hashed seed else Mis.Luby (rng ()) in
     (* the engine carries the plan, so build one per run; lossy plans
        fall back to the sequential ARQ synchronizer inside the runner *)
     let engine faults =
@@ -411,7 +404,7 @@ let faults_cmd =
             fun faults ->
               let r =
                 Dist_mis.run ?faults ?engine:(engine faults) ~reliable:config
-                  ~mis:(mis_random ()) ~variant:Dist_mis.Gbg g
+                  ~mis:(Mis.Hashed seed) ~variant:Dist_mis.Gbg g
               in
               (r.Dist_mis.schedule, r.Dist_mis.stats) )
       | F_distmis_general ->
@@ -419,7 +412,7 @@ let faults_cmd =
             fun faults ->
               let r =
                 Dist_mis.run ?faults ?engine:(engine faults) ~reliable:config
-                  ~mis:(mis_random ()) ~variant:Dist_mis.General g
+                  ~mis:(Mis.Hashed seed) ~variant:Dist_mis.General g
               in
               (r.Dist_mis.schedule, r.Dist_mis.stats) )
     in
@@ -939,7 +932,6 @@ let trace_cmd =
           | Some path -> Trace.open_writer ~meta path
         in
         let trace = Trace.writer_sink writer in
-        let rng () = Random.State.make [| seed; 0xA5 |] in
         let guard f = try f () with Invalid_argument m -> or_die (Error m) in
         let stats =
           guard (fun () ->
@@ -949,13 +941,13 @@ let trace_cmd =
                   Some r.Dfs_sched.stats
               | T_distmis ->
                   let r =
-                    Dist_mis.run ?faults ~trace ~mis:(Mis.Luby (rng ()))
+                    Dist_mis.run ?faults ~trace ~mis:(Mis.Hashed seed)
                       ~variant:Dist_mis.Gbg g
                   in
                   Some r.Dist_mis.stats
               | T_distmis_general ->
                   let r =
-                    Dist_mis.run ?faults ~trace ~mis:(Mis.Luby (rng ()))
+                    Dist_mis.run ?faults ~trace ~mis:(Mis.Hashed seed)
                       ~variant:Dist_mis.General g
                   in
                   Some r.Dist_mis.stats

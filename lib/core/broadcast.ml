@@ -34,26 +34,6 @@ let frame_length g = num_slots (greedy g)
 
 open Fdlsp_sim
 
-(* Virtual competition graph: members within [dist] hops compete. *)
-let virtual_graph g members ~dist =
-  let member_ids = ref [] in
-  Array.iteri (fun v m -> if m then member_ids := v :: !member_ids) members;
-  let back = Array.of_list (List.sort compare !member_ids) in
-  let index = Hashtbl.create (Array.length back) in
-  Array.iteri (fun i v -> Hashtbl.replace index v i) back;
-  let edges = ref [] in
-  Array.iteri
-    (fun i v ->
-      List.iter
-        (fun w ->
-          if members.(w) then
-            match Hashtbl.find_opt index w with
-            | Some j when i < j -> edges := (i, j) :: !edges
-            | _ -> ())
-        (Traversal.within g v dist))
-    back;
-  (Graph.create ~n:(Array.length back) !edges, back)
-
 (* Three synchronous rounds: broadcast own slot, forward the merged
    1-hop table, winners first-fit against the gathered 2-hop slots. *)
 let color_phase g colors ~chosen =
@@ -102,7 +82,7 @@ let distributed ~mis g =
     stats := Stats.add !stats mis_stats;
     let remaining = Array.copy s in
     while any remaining do
-      let vg, back = virtual_graph g remaining ~dist:2 in
+      let vg, back = Dist_mis.virtual_graph g remaining ~dist:2 in
       let s_virtual, sec_stats = Mis.compute ~algo:mis vg ~active:(Array.make (Graph.n vg) true) in
       stats := Stats.add !stats (Stats.scale_rounds 2 sec_stats);
       let chosen = Array.make n false in

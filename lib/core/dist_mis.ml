@@ -22,66 +22,131 @@ let hop_distance = function Gbg -> 3 | General -> 2
    graph (finished nodes still relay).  Returns the virtual graph and
    the member array mapping virtual ids to real ids. *)
 let virtual_graph g members ~dist =
-  let member_ids = ref [] in
-  Array.iteri (fun v m -> if m then member_ids := v :: !member_ids) members;
-  let back = Array.of_list (List.sort compare !member_ids) in
-  let index = Hashtbl.create (Array.length back) in
-  Array.iteri (fun i v -> Hashtbl.replace index v i) back;
+  let index = Array.make (Graph.n g) (-1) in
+  let count = ref 0 in
+  Array.iteri
+    (fun v m ->
+      if m then begin
+        index.(v) <- !count;
+        incr count
+      end)
+    members;
+  let back = Array.make !count 0 in
+  Array.iteri (fun v i -> if i >= 0 then back.(i) <- v) index;
   let edges = ref [] in
   Array.iteri
     (fun i v ->
       List.iter
         (fun w ->
-          if members.(w) then
-            match Hashtbl.find_opt index w with
-            | Some j when i < j -> edges := (i, j) :: !edges
-            | _ -> ())
+          let j = index.(w) in
+          if j > i then edges := (i, j) :: !edges)
         (Traversal.within g v dist))
     back;
-  (Graph.create ~n:(Array.length back) !edges, back)
+  (Graph.create ~n:!count !edges, back)
 
 (* --- the 3-round gather/color phase ------------------------------- *)
 
+(* A color table: (arc, slot) entries.  Payloads are lists, not arrays:
+   an array over 256 words is allocated straight into the major heap. *)
+type table = (Arc.id * int) list
+
 type phase_state = {
-  known : (Arc.id, int) Hashtbl.t; (* gathered color table *)
-  mutable assigned : (Arc.id * int) list; (* this node's new colors *)
+  own : table; (* this node's colored incident arcs *)
+  mutable gathered : table list; (* a winner's round-2 tables, kept for round 3 *)
+  mutable assigned : table; (* a winner's new colors, in arc order *)
 }
 
+(* Every node starts a phase in this shared state: halo nodes build
+   their own in round 1, the only round all of them step, so init is
+   O(1) per node; nodes beyond the winners' 2-hop halo are never
+   stepped and keep it. *)
+let idle = { own = []; gathered = []; assigned = [] }
 
-(* A conflict scratch is reused across a phase's coloring steps, but it is
+(* The colour kernel's working set: a flat arc-indexed color table whose
+   entries count only while stamped with the current generation [gen]
+   (bumping it empties the table in O(1)), a stamped forbidden-slot set
+   for first-fit, and the conflict enumeration's scratch.  Each is
    single-use at a time and the parallel engine steps nodes on several
-   domains at once: cache one scratch per domain instead, keyed (by
-   physical equality — one cached entry, not a leak-prone table) off the
-   graph it was built over. *)
-let scratch_key : (Graph.t * Conflict.scratch) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+   domains at once, so there is one kernel per domain.  The tables grow
+   to the largest graph seen and serve every graph, so a phase allocates
+   nothing; the conflict scratch is bound to one graph (by physical
+   equality — one cached entry, not a leak-prone table). *)
+type kernel = {
+  mutable mark : int array; (* arc -> generation that last wrote [color] *)
+  mutable color : int array;
+  mutable gen : int;
+  mutable forbidden : int array; (* slot -> [fgen] that forbade it *)
+  mutable fgen : int;
+  mutable conflict : (Graph.t * Conflict.scratch) option;
+}
 
-let domain_scratch g =
-  match Domain.DLS.get scratch_key with
+let kernel_key =
+  Domain.DLS.new_key (fun () ->
+      { mark = [||]; color = [||]; gen = 0; forbidden = [||]; fgen = 0; conflict = None })
+
+let domain_kernel g =
+  let k = Domain.DLS.get kernel_key in
+  let arcs = Arc.count g in
+  if Array.length k.mark < arcs then begin
+    k.mark <- Array.make arcs 0;
+    k.color <- Array.make arcs 0;
+    k.gen <- 0;
+    (* first-fit never passes the number of conflicting arcs *)
+    k.forbidden <- Array.make (arcs + 1) 0;
+    k.fgen <- 0
+  end;
+  k
+
+let conflict_scratch k g =
+  match k.conflict with
   | Some (g', s) when g' == g -> s
   | _ ->
       let s = Conflict.scratch g in
-      Domain.DLS.set scratch_key (Some (g, s));
+      k.conflict <- Some (g, s);
       s
 
-(* Colors the given arcs greedily against [known], updating [known] as
-   it goes so a node's own simultaneous picks stay consistent. *)
-let greedy_assign ~scratch g known arcs =
-  List.filter_map
-    (fun a ->
-      if Hashtbl.mem known a then None
-      else begin
-        let forbidden = Hashtbl.create 16 in
+(* the next generation for [stamps]; the wrap refills them *)
+let bump stamps gen =
+  if gen = max_int then begin
+    Array.fill stamps 0 (Array.length stamps) 0;
+    1
+  end
+  else gen + 1
+
+(* Loads the de-duplicated union of [tables] into the kernel's table
+   under a fresh generation, calling [f] on each arc's first entry. *)
+let union k tables f =
+  k.gen <- bump k.mark k.gen;
+  let gen = k.gen in
+  List.iter
+    (List.iter (fun ((a, c) as entry) ->
+         if k.mark.(a) <> gen then begin
+           k.mark.(a) <- gen;
+           k.color.(a) <- c;
+           f entry
+         end))
+    tables
+
+(* Colors the arcs [iter_targets] visits first-fit against the loaded
+   table, entering each pick so a node's own simultaneous picks stay
+   consistent; arcs already in the table are skipped. *)
+let greedy_assign k g iter_targets =
+  let gen = k.gen and mark = k.mark and color = k.color and forbidden = k.forbidden in
+  let slots = Array.length forbidden and scratch = conflict_scratch k g in
+  let assigned = ref [] in
+  iter_targets (fun a ->
+      if mark.(a) <> gen then begin
+        k.fgen <- bump forbidden k.fgen;
+        let fgen = k.fgen in
         Conflict.iter_conflicting ~scratch g a (fun b ->
-            match Hashtbl.find_opt known b with
-            | Some c -> Hashtbl.replace forbidden c ()
-            | None -> ());
-        let rec first c = if Hashtbl.mem forbidden c then first (c + 1) else c in
+            if mark.(b) = gen && color.(b) < slots then forbidden.(color.(b)) <- fgen);
+        let rec first c = if c < slots && forbidden.(c) = fgen then first (c + 1) else c in
         let c = first 0 in
-        Hashtbl.replace known a c;
-        Some (a, c)
-      end)
-    arcs
+        mark.(a) <- gen;
+        color.(a) <- c;
+        assigned := (a, c) :: !assigned
+      end);
+  List.rev !assigned
 
 (* Hop distance (0, 1, 2 or 3=far) to the nearest chosen node, by
    multi-source BFS.  Non-chosen nodes learn their distance to the
@@ -112,51 +177,46 @@ let halo g chosen =
 let color_phase ~engine ?(trace = Trace.null) ?(metrics = Metrics.null) g sched ~chosen
     ~outgoing_only =
   let dist = halo g chosen in
-  let own_table v =
-    let out = ref [] in
-    Arc.iter_incident g v (fun a ->
-        let c = Schedule.get sched a in
-        if c >= 0 then out := (a, c) :: !out);
-    Array.of_list !out
-  in
-  let init v =
-    let known = Hashtbl.create 32 in
-    if dist.(v) <= 1 then
-      Array.iter (fun (a, c) -> Hashtbl.replace known a c) (own_table v);
-    ({ known; assigned = [] }, dist.(v) <= 2)
-  in
+  let init v = (idle, dist.(v) <= 2) in
   let send_to g v payload ~keep =
     Graph.fold_neighbors g v (fun acc w -> if keep w then (w, payload) :: acc else acc) []
   in
-  let merge state inbox =
-    List.iter
-      (fun (_, table) -> Array.iter (fun (a, c) -> Hashtbl.replace state.known a c) table)
-      inbox
-  in
-  let snapshot state = Array.of_seq (Hashtbl.to_seq state.known) in
   let step ~round v state inbox =
     match round with
     | 1 ->
+        let own = ref [] in
+        Arc.iter_incident g v (fun a ->
+            let c = Schedule.get sched a in
+            if c >= 0 then own := (a, c) :: !own);
+        let state = { own = !own; gathered = []; assigned = [] } in
         (* halo nodes push their tables toward the winners' neighbors *)
-        (state, Sync.Continue (send_to g v (own_table v) ~keep:(fun w -> dist.(w) <= 1)))
+        (state, Sync.Continue (send_to g v state.own ~keep:(fun w -> dist.(w) <= 1)))
     | 2 ->
-        merge state inbox;
-        (state, Sync.Continue (send_to g v (snapshot state) ~keep:(fun w -> chosen.(w))))
+        let tables = List.map snd inbox in
+        if chosen.(v) then state.gathered <- tables;
+        (* winners' neighbors forward their merged 2-hop table *)
+        let winners =
+          Graph.fold_neighbors g v (fun acc w -> if chosen.(w) then w :: acc else acc) []
+        in
+        if winners = [] then (state, Sync.Continue [])
+        else begin
+          let merged = ref [] in
+          union (domain_kernel g) (state.own :: tables) (fun e -> merged := e :: !merged);
+          (state, Sync.Continue (List.map (fun w -> (w, !merged)) winners))
+        end
     | _ ->
-        merge state inbox;
         if chosen.(v) then begin
-          let targets = ref [] in
-          if outgoing_only then Arc.iter_out g v (fun a -> targets := a :: !targets)
-          else Arc.iter_incident g v (fun a -> targets := a :: !targets);
-          state.assigned <-
-            greedy_assign ~scratch:(domain_scratch g) g state.known (List.rev !targets);
+          let k = domain_kernel g in
+          let tables = List.rev_append (List.map snd inbox) state.gathered in
+          union k (state.own :: tables) ignore;
+          let iter_targets = if outgoing_only then Arc.iter_out g v else Arc.iter_incident g v in
+          state.assigned <- greedy_assign k g iter_targets;
           (* the announce broadcast of the assignment *)
-          ( state,
-            Sync.Halt (send_to g v (Array.of_list state.assigned) ~keep:(fun _ -> true)) )
+          (state, Sync.Halt (send_to g v state.assigned ~keep:(fun _ -> true)))
         end
         else (state, Sync.Halt [])
   in
-  let states, stats = engine.Reliable.run ~weight:Array.length ~metrics g ~init ~step in
+  let states, stats = engine.Reliable.run ~weight:List.length ~metrics g ~init ~step in
   let t_done = float_of_int stats.Stats.rounds in
   let colored = ref 0 in
   Array.iteri

@@ -39,6 +39,12 @@ type result = {
   inner_iters : int;  (** secondary MIS computations, total *)
 }
 
+val virtual_graph : Graph.t -> bool array -> dist:int -> Graph.t * int array
+(** [virtual_graph g members ~dist] is the secondary MIS's competition
+    graph: one node per member (ascending ids), two joined when within
+    [dist] hops in [g].  Returns it with the array mapping its node ids
+    back to [g]'s. *)
+
 val run :
   ?faults:Fault.plan ->
   ?reliable:Reliable.config ->

@@ -50,12 +50,10 @@ type msg =
                     lists before comparing. *)
 let compute_priority_based ~engine ~metrics ~draw g ~active =
   let beats (p1, v1) (p2, v2) = p1 < p2 || (p1 = p2 && v1 < v2) in
-  let init v =
-    let undecided_nbrs =
-      Graph.fold_neighbors g v (fun acc w -> if active.(w) then w :: acc else acc) []
-    in
-    ({ status = Undecided; priority = 0.; undecided_nbrs }, active.(v))
-  in
+  (* every participant steps in round 1 and builds its competitor list
+     there, so init is O(1) per node and non-participants cost nothing *)
+  let fresh = { status = Undecided; priority = 0.; undecided_nbrs = [] } in
+  let init v = (fresh, active.(v)) in
   let send_all targets payload = List.map (fun w -> (w, payload)) targets in
   let prune state inbox =
     let gone =
@@ -67,6 +65,13 @@ let compute_priority_based ~engine ~metrics ~draw g ~active =
         undecided_nbrs = List.filter (fun w -> not (List.mem w gone)) state.undecided_nbrs }
   in
   let step ~round v state inbox =
+    let state =
+      if round > 1 then state
+      else
+        { state with
+          undecided_nbrs =
+            Graph.fold_neighbors g v (fun acc w -> if active.(w) then w :: acc else acc) [] }
+    in
     let state = prune state inbox in
     if (round - 1) mod 2 = 0 then begin
       (* value round *)

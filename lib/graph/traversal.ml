@@ -39,21 +39,43 @@ let distance g u v =
     !found
   end
 
+(* [within]'s visited marks live in a per-domain scratch stamped with a
+   generation counter: bumping the generation clears every mark at once,
+   so a call costs O(ball), not the O(n) of a fresh distance array.  The
+   scratch grows to the largest graph seen on the domain and serves
+   every graph; the counter wrap (after max_int calls) refills it. *)
+type ball_scratch = { mutable seen : int array; mutable gen : int }
+
+let ball_key = Domain.DLS.new_key (fun () -> { seen = [||]; gen = 0 })
+
 let within g v r =
-  let dist = Array.make (Graph.n g) max_int in
-  let q = Queue.create () in
-  dist.(v) <- 0;
-  Queue.add v q;
-  let out = ref [] in
-  while not (Queue.is_empty q) do
-    let x = Queue.pop q in
-    if dist.(x) < r then
-      Graph.iter_neighbors g x (fun w ->
-          if dist.(w) = max_int then begin
-            dist.(w) <- dist.(x) + 1;
-            out := w :: !out;
-            Queue.add w q
-          end)
+  let s = Domain.DLS.get ball_key in
+  if Array.length s.seen < Graph.n g then begin
+    s.seen <- Array.make (Graph.n g) 0;
+    s.gen <- 0
+  end;
+  if s.gen = max_int then begin
+    Array.fill s.seen 0 (Array.length s.seen) 0;
+    s.gen <- 0
+  end;
+  s.gen <- s.gen + 1;
+  let gen = s.gen and seen = s.seen in
+  seen.(v) <- gen;
+  (* level by level: [frontier] holds the nodes at the current depth *)
+  let out = ref [] and frontier = ref [ v ] and depth = ref 0 in
+  while !depth < r && !frontier <> [] do
+    incr depth;
+    let next = ref [] in
+    List.iter
+      (fun x ->
+        Graph.iter_neighbors g x (fun w ->
+            if seen.(w) <> gen then begin
+              seen.(w) <- gen;
+              next := w :: !next
+            end))
+      !frontier;
+    out := List.rev_append !next !out;
+    frontier := !next
   done;
   List.sort compare !out
 

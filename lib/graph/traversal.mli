@@ -10,7 +10,8 @@ val distance : Graph.t -> int -> int -> int
 
 val within : Graph.t -> int -> int -> int list
 (** [within g v r] lists nodes at hop distance in [1..r] from [v],
-    ascending — the [N^r(v)] neighborhood of the paper minus [v]. *)
+    ascending — the [N^r(v)] neighborhood of the paper minus [v].  A
+    call costs O(size of the ball), not O(n). *)
 
 val components : Graph.t -> int array * int
 (** [components g] labels every node with a component id in

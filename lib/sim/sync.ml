@@ -39,11 +39,14 @@ let run ?max_rounds ?(weight = fun _ -> 1) ?faults ?corrupt ?blip ?(trace = Trac
      the calling domain, with the [sync.*] spans and [engine=sync] label *)
   let k = match prt with Some p -> p.Partition.parts | None -> 1 in
   let sharded = k > 1 in
+  let engine = if sharded then "parallel" else "sync" in
+  (* the run span covers the whole execution: set-up, the protocol's
+     init callbacks, the rounds and the final accounting *)
+  Span.span spans (engine ^ ".run") @@ fun () ->
   let owner = match prt with Some p -> p.Partition.part | None -> Array.make n 0 in
   let shard_nodes =
     match prt with Some p -> Partition.shards p | None -> [| Array.init n Fun.id |]
   in
-  let engine = if sharded then "parallel" else "sync" in
   let metrics = Metrics.with_label metrics "engine" engine in
   let mtr = Metrics.enabled metrics in
   let max_rounds = match max_rounds with Some r -> r | None -> 10_000 + (100 * n) in
@@ -89,8 +92,13 @@ let run ?max_rounds ?(weight = fun _ -> 1) ?faults ?corrupt ?blip ?(trace = Trac
     in
     loop ()
   in
-  let states = Array.init n (fun v -> fst (init v)) in
-  let live = Array.init n (fun v -> snd (init v)) in
+  let live = Array.make n false in
+  let states =
+    Array.init n (fun v ->
+        let state, alive = init v in
+        live.(v) <- alive;
+        state)
+  in
   let live_count = Array.make k 0 in
   Array.iteri
     (fun v alive -> if alive then live_count.(owner.(v)) <- live_count.(owner.(v)) + 1)
@@ -390,13 +398,12 @@ let run ?max_rounds ?(weight = fun _ -> 1) ?faults ?corrupt ?blip ?(trace = Trac
       Span.span spans "parallel.exchange" exchange
     end
   in
-  let run_span = engine ^ ".run" and round_span = engine ^ ".round" in
+  let round_span = engine ^ ".round" in
   let run_rounds () =
-    Span.span spans run_span (fun () ->
-        while any_live () do
-          if !rounds >= max_rounds then raise (Did_not_terminate max_rounds);
-          Span.span spans round_span do_round
-        done)
+    while any_live () do
+      if !rounds >= max_rounds then raise (Did_not_terminate max_rounds);
+      Span.span spans round_span do_round
+    done
   in
   if not sharded then run_rounds ()
   else begin

@@ -224,6 +224,32 @@ let test_within () =
   Alcotest.(check (list int)) "r=2 on C8" [ 1; 2; 6; 7 ] (Traversal.within g 0 2);
   Alcotest.(check (list int)) "r=0" [] (Traversal.within g 0 0)
 
+(* [within] shares one stamp scratch across calls and graphs: repeated
+   calls on one graph, then calls alternating between a large and a small
+   graph (so the scratch is sized for the large one while serving the
+   small one), must all return the reference BFS ball. *)
+let test_within_reused_scratch () =
+  let ball g v r =
+    let d = Traversal.bfs_distances g v in
+    List.filter
+      (fun w -> d.(w) >= 1 && d.(w) <= r && d.(w) <> max_int)
+      (List.init (Graph.n g) Fun.id)
+  in
+  let check g v r =
+    if Traversal.within g v r <> ball g v r then
+      Alcotest.failf "within %d %d differs from the BFS ball (n = %d)" v r (Graph.n g)
+  in
+  let big = Gen.gnm (Random.State.make [| 21 |]) ~n:300 ~m:900 in
+  let small = Gen.grid 6 7 in
+  for i = 0 to 2999 do
+    check big (i mod 300) (1 + (i mod 3))
+  done;
+  for i = 0 to 1999 do
+    let g = if i mod 2 = 0 then big else small in
+    check g (i * 7 mod Graph.n g) (i mod 4)
+  done;
+  check big 0 max_int
+
 let test_diameter () =
   Alcotest.(check int) "path" 5 (Traversal.diameter (Gen.path 6));
   Alcotest.(check int) "cycle" 4 (Traversal.diameter (Gen.cycle 8));
@@ -449,6 +475,7 @@ let () =
           Alcotest.test_case "bfs" `Quick test_bfs;
           Alcotest.test_case "bfs disconnected" `Quick test_bfs_disconnected;
           Alcotest.test_case "within" `Quick test_within;
+          Alcotest.test_case "within reuses its scratch" `Quick test_within_reused_scratch;
           Alcotest.test_case "diameter" `Quick test_diameter;
           Alcotest.test_case "dfs preorder" `Quick test_dfs_preorder;
           prop_within_matches_bfs;

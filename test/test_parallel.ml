@@ -321,6 +321,21 @@ let test_spans () =
     "one shard keeps the sequential spans" [ "sync.round"; "sync.run" ]
     (span_names ~domains:1)
 
+(* The run span covers the whole call, the protocol's init callbacks
+   included, so engine time measured around the call matches it. *)
+let test_run_span_covers_init () =
+  let g = ring 16 in
+  List.iter
+    (fun (domains, name) ->
+      let spans = Span.recorder () in
+      let _, step = gossip g in
+      let init v =
+        Alcotest.(check (list string)) "open spans in init" [ name ] (Span.open_spans spans);
+        ((v, 0), true)
+      in
+      ignore (Sync.run ~spans ~domains g ~init ~step))
+    [ (1, "sync.run"); (3, "parallel.run") ]
+
 (* --- the engine under DistMIS ---------------------------------------- *)
 
 let schedule_array g sched = Array.init (Arc.count g) (Schedule.get sched)
@@ -346,6 +361,109 @@ let prop_hashed_mis_valid =
       let mis, _ = Mis.compute ~algo:(Mis.Hashed 1) g ~active in
       let mis', _ = Mis.compute ~algo:(Mis.Hashed 1) g ~active in
       Mis.is_independent g mis && Mis.is_maximal g ~active mis && mis = mis')
+
+(* Digests of (schedule, stats, iteration counts, trace events) for
+   DistMIS per variant x MIS x graph family, clean, traced, and lossy
+   through [Reliable]; recorded before the colour phase moved onto flat
+   arc-indexed tables, which must reproduce them exactly. *)
+let distmis_golden_graphs =
+  [
+    ("udg", fst (Gen.udg (Random.State.make [| 11 |]) ~n:40 ~side:5. ~radius:1.4));
+    ("gnm", Gen.gnm (Random.State.make [| 12 |]) ~n:25 ~m:70);
+    ("tree", Gen.random_tree (Random.State.make [| 13 |]) 30);
+  ]
+
+let distmis_digest ~variant ~mis ~mode g =
+  let mis =
+    match mis with `Luby -> Mis.Luby (Random.State.make [| 9 |]) | `Hashed -> Mis.Hashed 9
+  in
+  let trace = if mode = `Clean then Trace.null else Trace.memory () in
+  let faults =
+    if mode = `Lossy then Some (Fault.uniform ~seed:5 ~duplicate:0.1 ~reorder:0.1 0.1)
+    else None
+  in
+  let r = Dist_mis.run ?faults ~trace ~mis ~variant g in
+  Alcotest.(check bool) "valid" true (Schedule.valid r.Dist_mis.schedule);
+  digest
+    ( schedule_array g r.Dist_mis.schedule,
+      r.Dist_mis.stats,
+      (r.Dist_mis.outer_iters, r.Dist_mis.inner_iters),
+      Trace.events trace )
+
+let distmis_golden =
+  [
+    ( ("gbg", "luby", "udg"),
+      [ "4d9f377ee50208448afb5526d2c3c0bc";
+        "413a30bb0ed2569ee3c3f09a40a00806";
+        "d7c8b9203bc847d2edeca8c43a31e912" ] );
+    ( ("gbg", "luby", "gnm"),
+      [ "b89d50b931f7431d01bab12c32744d6d";
+        "412008dfa9f3a850e835c557f80c4888";
+        "156a8010076427e53f9e278b5d529e2d" ] );
+    ( ("gbg", "luby", "tree"),
+      [ "38f3ce0ba84349305540348f44ede0e8";
+        "1d3aa455314e07fa402458d279f92fea";
+        "2b7c517991836568574b1f8db19a9977" ] );
+    ( ("gbg", "hashed", "udg"),
+      [ "d429381b63018997090b7a4f7be875c7";
+        "0219a169e9364ae9fba9dea8220c643c";
+        "38c34e21c0f1226d8a5a17970ad81117" ] );
+    ( ("gbg", "hashed", "gnm"),
+      [ "ead2b382e6b41cd49d51cc6e24139091";
+        "cd59c4ff7d1ab9b882a46f17e6319dca";
+        "50e74045dd402bb312d0f0b63eb21565" ] );
+    ( ("gbg", "hashed", "tree"),
+      [ "1be95a15c5b4ddc12fde6738680e192a";
+        "ce5b1d439c23ddd5e30c573fd1919505";
+        "3b7d86f892564ba3b9ebecaab573cda0" ] );
+    ( ("general", "luby", "udg"),
+      [ "1fd7c25f3da8ecdae4023e3bd6667df9";
+        "bc0972337e0f6204e31fc3787b903645";
+        "f003485141c8bf0bc79a2a4cc913e40f" ] );
+    ( ("general", "luby", "gnm"),
+      [ "584040f4abff9c11f2f235c939fc5a91";
+        "6b1c5971136484aa06dbf74edd12c333";
+        "06b11c5b3026553a9811a7e3756c271e" ] );
+    ( ("general", "luby", "tree"),
+      [ "28feaff37787c37d1f51da69a4de85f2";
+        "f1716043ad02c1aefe7d0bfd5ce97201";
+        "2abd93ef787d0a1cf352699e06400082" ] );
+    ( ("general", "hashed", "udg"),
+      [ "409c8ac5bb3ff91f412f54269ccc9843";
+        "cbd6e48298ec8963ad5b994e79d5279e";
+        "ead6dcafb3bb1fc2aeeab764e7880fbd" ] );
+    ( ("general", "hashed", "gnm"),
+      [ "372cc8d93e7822c3b8466f79384d4289";
+        "1ac46e1055920b01e3646d543b60894b";
+        "cc48d83cc3654e815bb28b84ee27f16a" ] );
+    ( ("general", "hashed", "tree"),
+      [ "58d10e917aeda41d67d73c4454424262";
+        "fdd29839c65c0af4abb988ca71745517";
+        "6c6365db219a0fabeba7cbd81ee8969b" ] );
+  ]
+
+let test_distmis_golden () =
+  List.iter
+    (fun (vname, variant) ->
+      List.iter
+        (fun (mname, mis) ->
+          List.iter
+            (fun (gname, g) ->
+              List.iter2
+                (fun mode expected ->
+                  Alcotest.(check string)
+                    (Printf.sprintf "%s, %s, %s, %s" vname mname gname
+                       (match mode with
+                       | `Clean -> "clean"
+                       | `Traced -> "traced"
+                       | `Lossy -> "lossy"))
+                    expected
+                    (distmis_digest ~variant ~mis ~mode g))
+                [ `Clean; `Traced; `Lossy ]
+                (List.assoc (vname, mname, gname) distmis_golden))
+            distmis_golden_graphs)
+        [ ("luby", `Luby); ("hashed", `Hashed) ])
+    [ ("gbg", Dist_mis.Gbg); ("general", Dist_mis.General) ]
 
 let () =
   Alcotest.run "fdlsp_parallel"
@@ -373,6 +491,12 @@ let () =
         [
           Alcotest.test_case "metrics merge" `Quick test_metrics_merge;
           Alcotest.test_case "spans" `Quick test_spans;
+          Alcotest.test_case "run span covers init" `Quick test_run_span_covers_init;
         ] );
-      ("distmis", [ prop_distmis_engine_free; prop_hashed_mis_valid ]);
+      ( "distmis",
+        [
+          prop_distmis_engine_free;
+          prop_hashed_mis_valid;
+          Alcotest.test_case "golden digests" `Quick test_distmis_golden;
+        ] );
     ]

@@ -61,6 +61,25 @@ let test_sync_empty_graph () =
   Alcotest.(check int) "no states" 0 (Array.length states);
   Alcotest.(check int) "no rounds" 0 stats.Stats.rounds
 
+(* [init] runs exactly once per node, on every shard count: a protocol
+   whose init has effects (draws, allocation) must not see it twice. *)
+let test_sync_init_once () =
+  let g = Gen.cycle 100 in
+  List.iter
+    (fun domains ->
+      let calls = Array.make (Graph.n g) 0 in
+      let init v =
+        calls.(v) <- calls.(v) + 1;
+        ((), v mod 3 = 0)
+      in
+      let step ~round:_ _ () _ = ((), Sync.Halt []) in
+      ignore (Sync.run ~domains g ~init ~step);
+      Alcotest.(check int)
+        (Printf.sprintf "n init calls at %d domain(s)" domains)
+        (Graph.n g) (Array.fold_left ( + ) 0 calls);
+      Alcotest.(check bool) "one per node" true (Array.for_all (( = ) 1) calls))
+    [ 1; 2 ]
+
 (* Leader election by max-id flooding on a cycle: classic sanity check
    that multi-round protocols converge with the right answer. *)
 let test_sync_max_flood () =
@@ -286,6 +305,7 @@ let () =
           Alcotest.test_case "locality enforced" `Quick test_sync_locality_enforced;
           Alcotest.test_case "non-termination detected" `Quick test_sync_nontermination;
           Alcotest.test_case "empty graph" `Quick test_sync_empty_graph;
+          Alcotest.test_case "init once per node" `Quick test_sync_init_once;
           Alcotest.test_case "max flooding on cycle" `Quick test_sync_max_flood;
         ] );
       ( "async",
